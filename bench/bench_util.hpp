@@ -32,6 +32,9 @@
 #include "runtime/arena.hpp"
 #include "runtime/program.hpp"
 #include "runtime/request_queue.hpp"
+#include "topo/binding.hpp"
+#include "topo/detect.hpp"
+#include "topo/membind.hpp"
 
 namespace orwl::bench {
 
@@ -91,6 +94,14 @@ inline int bench_main(int argc, char** argv) {
     args.push_back(out_arg.data());
     args.push_back(fmt_arg.data());
   }
+  // Host class of the run, so snapshots compare like with like: the
+  // topology the benches see (ORWL_TOPOLOGY fixtures included) and the
+  // host's real NUMA node count.
+  benchmark::AddCustomContext("nproc",
+                              std::to_string(topo::host_cpu_count()));
+  benchmark::AddCustomContext("topology", topo::detect_host().summary());
+  benchmark::AddCustomContext(
+      "host_numa_nodes", std::to_string(topo::MemBind::host_node_count()));
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;

@@ -10,13 +10,16 @@
 //                 buffer stuck on node 0" failure mode)
 //
 // plus the cost of an explicit migrate_to() round trip, i.e. what a
-// grant-time transfer costs the control thread.
+// grant-time transfer costs the control thread, and what one location
+// pays per placement (BM_LocationBind: allocate a one-page NumaBuffer,
+// bind it to the local node, free it).
 //
 // On a multi-node machine `local` beats `remote` by the interconnect
 // factor (Table I: NUMAlink5/6). On 1-node or sandboxed hosts the remote
 // binding is necessarily emulated (tag-only) and the variants converge —
 // the bench labels such runs "emulated" so the numbers are not
-// misread as a NUMA result.
+// misread as a NUMA result. A one-node host binds by construction (heap
+// storage, no syscalls); those rows say "one node".
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -29,6 +32,7 @@
 namespace {
 
 using orwl::topo::MemBind;
+using orwl::topo::NumaBuffer;
 
 /// Pin the bench thread so "its node" stays fixed across iterations, and
 /// report that node (0 when the host cannot tell).
@@ -106,11 +110,30 @@ void BM_MigrateRoundTrip(benchmark::State& state) {
   // Two migrations per iteration.
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
                           static_cast<std::int64_t>(bytes));
-  std::string label = buf.emulated() ? "emulated" : "move_pages";
-  if (remote == local) label += " remote=local";
-  state.SetLabel(label);
+  state.SetLabel(remote == local ? "one node"
+                 : buf.emulated() ? "emulated"
+                                  : "move_pages");
 }
 BENCHMARK(BM_MigrateRoundTrip)->Arg(1 << 20)->Arg(1 << 24);
+
+void BM_LocationBind(benchmark::State& state) {
+  const int local = pin_and_local_node();
+  const std::size_t bytes = MemBind::page_size();
+  for (auto _ : state) {
+    NumaBuffer buf;
+    buf.resize(bytes);
+    buf.bind_to(local);
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  NumaBuffer probe;
+  probe.resize(bytes);
+  probe.bind_to(local);
+  state.SetLabel(MemBind::host_node_count() == 1 ? "one node"
+                 : probe.emulated()             ? "emulated"
+                                                : "move_pages");
+}
+BENCHMARK(BM_LocationBind);
 
 }  // namespace
 

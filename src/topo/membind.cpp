@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,16 +37,15 @@ constexpr unsigned kMpolMfMove = 0x2;  // MPOL_MF_MOVE
 constexpr std::size_t kMovePagesChunk = 16384;  // pages per syscall
 #endif
 
-/// ORWL_MEMBIND=emulate forces the portable fallback. Read per call (not
-/// cached) so tests can toggle it with ScopedEnv.
+/// ORWL_MEMBIND=emulate forces the portable fallback. Read once per call
+/// (not cached) so tests can toggle it with ScopedEnv.
 enum class MemBindMode { Native, Emulate, Invalid };
 
-MemBindMode membind_mode() noexcept {
-  const auto v = support::env_string(kMemBindEnvVar);
-  if (!v || v->empty() || support::iequals(*v, "auto")) {
+MemBindMode parse_mode(const char* v) noexcept {
+  if (v == nullptr || *v == '\0' || support::iequals(v, "auto")) {
     return MemBindMode::Native;
   }
-  if (support::iequals(*v, "emulate")) return MemBindMode::Emulate;
+  if (support::iequals(v, "emulate")) return MemBindMode::Emulate;
   return MemBindMode::Invalid;
 }
 
@@ -53,16 +53,17 @@ MemBindMode membind_mode() noexcept {
 /// residency queries) route garbage to the safe emulate lane; the throwing
 /// validation lives on the allocate path, which every buffer passes first.
 bool force_emulation() noexcept {
-  return membind_mode() != MemBindMode::Native;
+  return parse_mode(std::getenv(kMemBindEnvVar)) != MemBindMode::Native;
 }
 
 /// Allocate-path variant: rejects a malformed ORWL_MEMBIND loudly.
 bool force_emulation_checked() {
-  const auto v = support::env_string(kMemBindEnvVar);
-  if (membind_mode() == MemBindMode::Invalid) {
-    support::throw_bad_env(kMemBindEnvVar, *v, "auto or emulate");
+  const char* v = std::getenv(kMemBindEnvVar);
+  const MemBindMode mode = parse_mode(v);
+  if (mode == MemBindMode::Invalid) {
+    support::throw_bad_env(kMemBindEnvVar, v, "auto or emulate");
   }
-  return force_emulation();
+  return mode != MemBindMode::Native;
 }
 
 std::size_t round_to_pages(std::size_t bytes) {
@@ -106,6 +107,25 @@ bool host_has_node(int node) noexcept {
 #endif
 }
 
+/// The host's only NUMA node, or MemBind::kAnyNode on multi-node hosts.
+/// On a one-node host every page already lives on that node, so there is
+/// nothing for a mapping, mbind or move_pages to achieve.
+int sole_host_node() noexcept {
+#if defined(__linux__)
+  static const int sole = [] {
+    const auto& table = host_node_table();
+    if (std::count(table.begin(), table.end(), true) != 1) {
+      return MemBind::kAnyNode;
+    }
+    return static_cast<int>(std::find(table.begin(), table.end(), true) -
+                            table.begin());
+  }();
+  return sole;
+#else
+  return 0;
+#endif
+}
+
 /// Compile-time presence + one runtime probe of the NUMA syscalls
 /// (sandboxes commonly deny them with EPERM, which must look like
 /// "unavailable", not like an error).
@@ -122,6 +142,38 @@ bool syscalls_usable() noexcept {
 #else
   return false;
 #endif
+}
+
+/// A heap block bound to `node` is bound by construction when the host has
+/// that one node only and the syscalls that would otherwise have bound it
+/// are usable: the result is the same as a real bind, minus the syscalls.
+/// The caller has already ruled out ORWL_MEMBIND=emulate.
+bool bound_by_construction(int node) noexcept {
+  return node >= 0 && node == sole_host_node() && syscalls_usable();
+}
+
+/// Page-aligned, zero-initialized heap storage. calloc zeroes only memory
+/// it reuses: pages fresh from the OS are zero already and stay unfaulted
+/// until touched, as in a mapping. calloc's own pointer is kept in the
+/// slack just below the aligned start.
+std::byte* heap_allocate(std::size_t bytes) {
+  const std::size_t page = MemBind::page_size();
+  const std::size_t slack = page + sizeof(void*);
+  void* raw = bytes <= SIZE_MAX - slack ? std::calloc(1, bytes + slack)
+                                        : nullptr;
+  if (raw == nullptr) throw std::bad_alloc();
+  const std::uintptr_t start =
+      (reinterpret_cast<std::uintptr_t>(raw) + sizeof(void*) + page - 1) &
+      ~(page - 1);
+  auto* p = reinterpret_cast<std::byte*>(start);
+  std::memcpy(p - sizeof(void*), &raw, sizeof raw);
+  return p;
+}
+
+void heap_free(std::byte* p) noexcept {
+  void* raw = nullptr;
+  std::memcpy(&raw, p - sizeof raw, sizeof raw);
+  std::free(raw);
 }
 
 #if defined(ORWL_HAVE_NUMA_SYSCALLS)
@@ -219,10 +271,10 @@ void MemBind::reset() noexcept {
     if (mapped_ != 0) {
       munmap(ptr_, mapped_);
     } else {
-      delete[] ptr_;
+      heap_free(ptr_);
     }
 #else
-    delete[] ptr_;
+    heap_free(ptr_);
 #endif
   }
   ptr_ = nullptr;
@@ -240,66 +292,82 @@ bool MemBind::try_resize(std::size_t bytes) noexcept {
   return true;
 }
 
-MemBind MemBind::allocate(std::size_t bytes, int node, bool huge) {
+MemBind MemBind::map_pages(std::size_t bytes, int node, bool huge) {
   MemBind m;
   m.node_ = node;
-  if (bytes == 0) return m;
-
 #if defined(__linux__)
-  if (!force_emulation_checked()) {
+  std::size_t len = round_to_pages(bytes);
+  int flags = MAP_PRIVATE | MAP_ANONYMOUS;
+  if (huge) {
 #if defined(MAP_HUGETLB)
-    // Huge-page lane: reservation happens at mmap time for anonymous
-    // hugetlb mappings (no MAP_NORESERVE), so an exhausted pool fails
-    // here with ENOMEM instead of SIGBUS-ing at first touch — which is
-    // what makes the fallback below transparent.
+    // Reservation happens at mmap time for anonymous hugetlb mappings (no
+    // MAP_NORESERVE), so an exhausted pool fails here with ENOMEM instead
+    // of SIGBUS-ing at first touch — which is what makes the caller's
+    // fallback transparent.
     const std::size_t hps = huge_page_size();
-    if (huge && hps > 0 && bytes >= hps) {
-      const std::size_t len = (bytes + hps - 1) / hps * hps;
-      void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-      if (p != MAP_FAILED) {
-        m.ptr_ = static_cast<std::byte*>(p);
-        m.bytes_ = bytes;
-        m.cap_ = len;
-        m.mapped_ = len;
-        m.huge_ = true;
-#if defined(ORWL_HAVE_NUMA_SYSCALLS)
-        if (node >= 0 && syscalls_usable() && host_has_node(node)) {
-          m.real_bind_ = bind_mapping(p, len, node);
-        }
-#endif
-        return m;
-      }
-    }
+    len = (bytes + hps - 1) / hps * hps;
+    flags |= MAP_HUGETLB;
 #else
-    (void)huge;
-#endif  // MAP_HUGETLB
-    const std::size_t len = round_to_pages(bytes);
-    void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p != MAP_FAILED) {
-      m.ptr_ = static_cast<std::byte*>(p);
-      m.bytes_ = bytes;
-      m.cap_ = len;
-      m.mapped_ = len;
-#if defined(ORWL_HAVE_NUMA_SYSCALLS)
-      if (node >= 0 && syscalls_usable() && host_has_node(node)) {
-        m.real_bind_ = bind_mapping(p, len, node);
-      }
+    return m;
 #endif
-      return m;
-    }
   }
+  void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE, flags, -1, 0);
+  if (p == MAP_FAILED) return m;
+  m.ptr_ = static_cast<std::byte*>(p);
+  m.bytes_ = bytes;
+  m.cap_ = len;
+  m.mapped_ = len;
+  m.huge_ = huge;
+#if defined(ORWL_HAVE_NUMA_SYSCALLS)
+  if (node >= 0 && syscalls_usable() && host_has_node(node)) {
+    m.real_bind_ = bind_mapping(p, len, node);
+  }
+#endif
 #else
+  (void)bytes;
   (void)huge;
 #endif  // __linux__
-
-  // Portable heap fallback: zero-initialized, binding stays tag-only.
-  m.ptr_ = new std::byte[bytes]();
-  m.bytes_ = bytes;
-  m.cap_ = bytes;
   return m;
 }
+
+MemBind MemBind::allocate(std::size_t bytes, int node, bool huge) {
+  if (bytes == 0) {
+    MemBind m;
+    m.node_ = node;
+    return m;
+  }
+  const bool emulate = force_emulation_checked();
+  if (!emulate) {
+    const std::size_t hps = huge_page_size();
+    if (huge && hps > 0 && bytes >= hps) {
+      MemBind m = map_pages(bytes, node, /*huge=*/true);
+      if (!m.empty()) return m;
+    }
+    // One-node hosts skip the mapping: the heap block below is already on
+    // the only node there is.
+    if (sole_host_node() == kAnyNode) {
+      MemBind m = map_pages(bytes, node, /*huge=*/false);
+      if (!m.empty()) return m;
+    }
+  }
+
+  // Heap storage, page-aligned like a mapping so typed views keep their
+  // alignment. Bound by construction on a one-node host, tag-only
+  // otherwise.
+  MemBind m;
+  m.ptr_ = heap_allocate(bytes);
+  m.bytes_ = bytes;
+  m.cap_ = bytes;
+  m.node_ = node;
+  m.real_bind_ = !emulate && bound_by_construction(node);
+  return m;
+}
+
+namespace detail {
+MemBind allocate_mapped(std::size_t bytes, int node) {
+  return MemBind::map_pages(bytes, node, /*huge=*/false);
+}
+}  // namespace detail
 
 bool MemBind::migrate_to(int node) noexcept {
   if (node < 0) {
@@ -319,9 +387,9 @@ bool MemBind::migrate_to(int node) noexcept {
     real_bind_ = false;
     return true;
   }
+  const bool emulate = force_emulation();
 #if defined(ORWL_HAVE_NUMA_SYSCALLS)
-  if (mapped_ != 0 && !force_emulation() && syscalls_usable() &&
-      host_has_node(node)) {
+  if (mapped_ != 0 && !emulate && syscalls_usable() && host_has_node(node)) {
     // hugetlb mappings migrate through mbind(MPOL_MF_MOVE): move_pages
     // operates on base-page addresses and cannot split a huge page.
     const bool moved = huge_ ? bind_mapping(ptr_, mapped_, node)
@@ -336,9 +404,11 @@ bool MemBind::migrate_to(int node) noexcept {
     return true;
   }
 #endif
+  // Heap storage moves nothing: bound by construction on a one-node host,
+  // recorded tag-only otherwise (fixture node / fallback storage).
   node_ = node;
-  real_bind_ = false;
-  return true;  // recorded tag-only (fixture node / fallback storage)
+  real_bind_ = mapped_ == 0 && !emulate && bound_by_construction(node);
+  return true;
 }
 
 std::vector<int> MemBind::page_nodes() const {
@@ -378,6 +448,13 @@ std::vector<int> MemBind::page_nodes() const {
     }
   }
 #endif
+  // Unbound heap storage on a one-node host is on that node, like every
+  // other page of the machine.
+  const int sole = sole_host_node();
+  if (node_ < 0 && mapped_ == 0 && bound_by_construction(sole) &&
+      !force_emulation()) {
+    return std::vector<int>(npages, sole);
+  }
   return std::vector<int>(npages, node_);
 }
 

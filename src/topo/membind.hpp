@@ -16,6 +16,17 @@
 // runtime's data-transfer logic and its tests behave identically on a
 // 12-NUMA-node fixture and on a 1-node laptop; only the physical page
 // movement is elided.
+//
+// One-node rule: on a host with exactly one NUMA node no page can be on
+// the wrong node, so MemBind skips the NUMA machinery there. Base-page
+// allocations come from the heap (page-aligned, zero-filled) instead of a
+// private mapping, and a binding to the host's node is real by
+// construction: emulated() is false (when the NUMA syscalls are usable)
+// and page_nodes()/resident_node() answer that node, with no mbind or
+// move_pages, and no mapping of MemBind's own, issued by allocate(),
+// migrate_to() or the queries.
+// Multi-node hosts, huge-page requests, fixture-only nodes and
+// ORWL_MEMBIND=emulate behave as described above.
 #pragma once
 
 #include <atomic>
@@ -28,8 +39,18 @@
 
 namespace orwl::topo {
 
+class MemBind;
+
+namespace detail {
+/// The mmap + mbind lane that MemBind::allocate takes on multi-node hosts,
+/// callable on any host so one-node machines keep it tested. Returns an
+/// empty area (with the node recorded) when mmap fails. Internal.
+MemBind allocate_mapped(std::size_t bytes, int node);
+}  // namespace detail
+
 /// Environment override for the physical binding backend.
-/// `auto` (default/unset): use mmap + mbind/move_pages when available;
+/// `auto` (default/unset): use mmap + mbind/move_pages when available
+/// (heap storage bound by construction on one-node hosts);
 /// `emulate`: force the portable heap fallback (every binding is
 /// tag-only). Tests use `emulate` to pin down the fallback paths on any
 /// host.
@@ -44,9 +65,9 @@ inline constexpr const char* kHugePagesEnvVar = "ORWL_HUGEPAGES";
 
 /// A page-granular memory area with an intended NUMA node.
 ///
-/// The low-level primitive: one anonymous mapping (or heap block in
-/// fallback mode) whose pages can be bound to a node at allocation time
-/// and migrated later. Not thread-safe — callers serialize structural
+/// The low-level primitive: one anonymous mapping (or page-aligned heap
+/// block on one-node hosts and in fallback mode) whose pages can be bound
+/// to a node at allocation time and migrated later. Not thread-safe — callers serialize structural
 /// operations; the runtime wraps it in NumaBuffer, which is.
 class MemBind {
  public:
@@ -72,9 +93,9 @@ class MemBind {
   ///               pages). Ignored — with a transparent fallback to the
   ///               normal path — when the host has no hugetlb pool, the
   ///               size is below one huge page, or emulation is forced.
-  /// \return The new area. Never throws for allocation-policy reasons:
-  ///         when mmap or mbind is unavailable the portable heap fallback
-  ///         is used. Throws std::bad_alloc only when memory itself is
+  /// \return The new area, page-aligned. Never throws for
+  ///         allocation-policy reasons: when mmap or mbind is unavailable
+  ///         the portable heap fallback is used. Throws std::bad_alloc only when memory itself is
   ///         exhausted.
   static MemBind allocate(std::size_t bytes, int node = kAnyNode,
                           bool huge = false);
@@ -88,7 +109,7 @@ class MemBind {
   /// Usable size in bytes (the mapping itself is page-rounded).
   std::size_t size() const noexcept { return bytes_; }
   /// Bytes usable without reallocating: the page-rounded mapping length
-  /// for mapped storage, the allocation size for heap-fallback storage.
+  /// for mapped storage, the allocation size for heap storage.
   std::size_t capacity() const noexcept { return cap_; }
   bool empty() const noexcept { return ptr_ == nullptr; }
 
@@ -106,6 +127,7 @@ class MemBind {
 
   /// True when the current binding is tag-only: heap fallback storage,
   /// missing syscalls, or a node beyond the host's (fixture topologies).
+  /// False for heap storage bound to the node of a one-node host.
   bool emulated() const noexcept { return !real_bind_; }
 
   /// Move the pages to `node`. kAnyNode clears the binding — including
@@ -163,12 +185,18 @@ class MemBind {
   static std::size_t huge_page_size() noexcept;
 
  private:
+  friend MemBind detail::allocate_mapped(std::size_t bytes, int node);
+
+  /// Anonymous private mapping of `bytes` (whole huge pages when `huge`),
+  /// mbind()-ed to `node` when the host has it. Empty when mmap fails.
+  static MemBind map_pages(std::size_t bytes, int node, bool huge);
+
   std::byte* ptr_ = nullptr;
   std::size_t bytes_ = 0;
   std::size_t cap_ = 0;     ///< reusable storage size (>= bytes_)
   std::size_t mapped_ = 0;  ///< page-rounded mmap length; 0 => heap block
   int node_ = kAnyNode;     ///< intended node
-  bool real_bind_ = false;  ///< pages were physically bound/migrated
+  bool real_bind_ = false;  ///< pages are on node_ (bound, or one-node heap)
   bool huge_ = false;       ///< hugetlb-backed mapping
 };
 

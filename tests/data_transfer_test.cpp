@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "orwl/orwl.hpp"
 #include "support/env.hpp"
+#include "topo/detect.hpp"
 #include "topo/machines.hpp"
 #include "topo/membind.hpp"
 
@@ -123,9 +126,23 @@ TEST(ScaleHint, HugePagesEnvRequestsHugeBacking) {
 
 // ------------------------------------------------------ owner binding ----
 
-TEST(DataTransfer, OwnerBindingFollowsThePlacement) {
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
-  const topo::Topology machine = topo::make_numa(2, 2, 1);
+/// Owner binding on a two-node fixture under ORWL_MEMBIND=emulate (every
+/// binding tag-only) and on the detected host, where binding a buffer to
+/// the host node it belongs on is real.
+class OwnerBinding : public ::testing::TestWithParam<bool /*on_host*/> {};
+
+INSTANTIATE_TEST_SUITE_P(Machines, OwnerBinding, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "host"
+                                                         : "fixture");
+                         });
+
+TEST_P(OwnerBinding, FollowsThePlacement) {
+  const bool on_host = GetParam();
+  std::optional<support::ScopedEnv> emu;
+  if (!on_host) emu.emplace(topo::kMemBindEnvVar, "emulate");
+  const topo::Topology machine =
+      on_host ? topo::detect_host() : topo::make_numa(2, 2, 1);
   rt::ProgramOptions o = fixture_opts(machine);
   o.data_transfer = rt::DataTransferMode::Owner;
   rt::Program prog(4, o);
@@ -140,15 +157,24 @@ TEST(DataTransfer, OwnerBindingFollowsThePlacement) {
   prog.run();
 
   ASSERT_TRUE(prog.stats().affinity_applied);
+  if (on_host && prog.placed_node_of_task(0) < 0) {
+    GTEST_SKIP() << "the detected host topology has no NUMA level";
+  }
   EXPECT_EQ(prog.stats().locations_bound, 4u);
+  EXPECT_EQ(prog.stats().arena_node_misses, 0u);
   for (rt::TaskId t = 0; t < 4; ++t) {
     const int node = prog.placed_node_of_task(t);
     ASSERT_GE(node, 0) << "task " << t << " must be placed on a node";
-    ASSERT_LT(node, 2);
+    if (!on_host) {
+      ASSERT_LT(node, 2);
+    }
     EXPECT_EQ(prog.location(t).home_node(), node);
     EXPECT_EQ(prog.location(t).memory_node(), node);
     EXPECT_EQ(prog.location(t).buffer().resident_node(), node)
-        << "emulated residency must follow the placed node";
+        << "residency must follow the placed node";
+    EXPECT_EQ(prog.location(t).buffer().emulated(),
+              !on_host || !topo::MemBind::numa_syscalls_available())
+        << "a host-node binding is real wherever the syscalls are usable";
   }
 }
 

@@ -1,13 +1,19 @@
 // topo::MemBind / topo::NumaBuffer: node-targeted allocation, residency
 // queries, migration, and — most importantly for CI — the portable
 // fallback paths (NUMA-less hosts, fixture nodes beyond the host,
-// forced emulation via ORWL_MEMBIND=emulate).
+// forced emulation via ORWL_MEMBIND=emulate). Storage tests run on both
+// lanes: allocate() (heap storage bound by construction on one-node
+// hosts) and the mmap + mbind/move_pages lane, which one-node hosts reach
+// only through detail::allocate_mapped.
 #include "topo/membind.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "support/env.hpp"
@@ -23,15 +29,83 @@ TEST(MemBind, PageSizeIsSane) {
   EXPECT_EQ(MemBind::page_size() % 512, 0u);
 }
 
-TEST(MemBind, AllocateZeroInitialized) {
+/// How a test's storage is made.
+struct Lane {
+  const char* name;
+  MemBind (*allocate)(std::size_t bytes, int node);
+};
+
+MemBind allocate_default(std::size_t bytes, int node) {
+  return MemBind::allocate(bytes, node);
+}
+
+const Lane kLanes[] = {
+    {"allocate", &allocate_default},
+    {"mapped", &orwl::topo::detail::allocate_mapped},
+};
+
+class MemBindLane : public ::testing::TestWithParam<Lane> {
+ protected:
+  MemBind allocate(std::size_t bytes, int node = MemBind::kAnyNode) const {
+    return GetParam().allocate(bytes, node);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Lanes, MemBindLane, ::testing::ValuesIn(kLanes),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
+/// First real node of the host (ids can be sparse; node 0 may be absent).
+int host_node() { return MemBind::host_node_ids().front(); }
+
+bool one_node_host() { return MemBind::host_node_count() == 1; }
+
+bool page_aligned(const std::byte* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % MemBind::page_size() == 0;
+}
+
+TEST_P(MemBindLane, AllocateZeroInitializedAndPageAligned) {
   const std::size_t bytes = 3 * MemBind::page_size() + 17;
-  MemBind m = MemBind::allocate(bytes);
+  MemBind m = allocate(bytes);
   ASSERT_NE(m.data(), nullptr);
   EXPECT_EQ(m.size(), bytes);
   EXPECT_FALSE(m.empty());
   EXPECT_EQ(m.bound_node(), MemBind::kAnyNode);
+  EXPECT_TRUE(page_aligned(m.data())) << "typed views rely on it";
   for (std::size_t i = 0; i < bytes; ++i) {
     ASSERT_EQ(m.data()[i], std::byte{0}) << "byte " << i;
+  }
+}
+
+TEST_P(MemBindLane, HostNodeBindingIsReal) {
+  // A binding the host can honour is real on every lane: physically on a
+  // mapping, by construction for heap storage on a one-node host.
+  const int node = host_node();
+  const bool usable = MemBind::numa_syscalls_available();
+  MemBind m = allocate(2 * MemBind::page_size() + 100, node);
+  ASSERT_NE(m.data(), nullptr);
+  std::memset(m.data(), 0x3c, m.size());
+  EXPECT_EQ(m.bound_node(), node);
+  EXPECT_EQ(m.emulated(), !usable);
+  EXPECT_EQ(m.resident_node(), node);
+  const std::vector<int> pages = m.page_nodes();
+  EXPECT_EQ(pages.size(), 3u);
+  for (int n : pages) EXPECT_EQ(n, node);
+  if (one_node_host() && std::string(GetParam().name) == "allocate") {
+    EXPECT_EQ(m.capacity(), m.size())
+        << "one-node hosts allocate heap storage, not a mapping";
+  }
+
+  EXPECT_TRUE(m.migrate_to(node)) << "repeat bind to the same node";
+  EXPECT_EQ(m.emulated(), !usable);
+  EXPECT_EQ(m.data()[m.size() - 1], std::byte{0x3c});
+
+  EXPECT_TRUE(m.migrate_to(MemBind::kAnyNode));
+  EXPECT_TRUE(m.emulated());
+  if (one_node_host() && usable) {
+    EXPECT_EQ(m.resident_node(), node)
+        << "unbound pages of a one-node host are on its node";
   }
 }
 
@@ -59,14 +133,14 @@ TEST(MemBind, MoveTransfersOwnership) {
   EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
 }
 
-TEST(MemBind, BindingIntentIsQueryableEvenWithoutRealNuma) {
+TEST_P(MemBindLane, BindingIntentIsQueryableEvenWithoutRealNuma) {
   // A fixture node far beyond any plausible host: the binding must be
   // recorded tag-only and every query must answer with the intent — this
   // is what keeps fixture-topology programs deterministic on 1-node CI.
   // Past the highest *id*, not the count: node ids can be sparse, so
   // count+3 could name a real node on offlined/CXL layouts.
   const int node = MemBind::host_node_ids().back() + 3;
-  MemBind m = MemBind::allocate(2 * MemBind::page_size(), node);
+  MemBind m = allocate(2 * MemBind::page_size(), node);
   ASSERT_NE(m.data(), nullptr);
   std::memset(m.data(), 0x5a, m.size());  // touch so pages exist
   EXPECT_EQ(m.bound_node(), node);
@@ -82,6 +156,7 @@ TEST(MemBind, ForcedEmulationFallback) {
   ASSERT_NE(m.data(), nullptr);
   EXPECT_TRUE(m.emulated());
   EXPECT_EQ(m.bound_node(), 2);
+  EXPECT_TRUE(page_aligned(m.data()));
   std::memset(m.data(), 0x7f, m.size());  // heap block must be writable
   EXPECT_EQ(m.data()[1000], std::byte{0x7f});
   EXPECT_TRUE(m.migrate_to(0));
@@ -91,15 +166,22 @@ TEST(MemBind, ForcedEmulationFallback) {
   EXPECT_EQ(nodes.size(),
             (m.size() + MemBind::page_size() - 1) / MemBind::page_size());
   for (int n : nodes) EXPECT_EQ(n, 0);
+  // Emulation wins over the one-node rule: the host's own node is
+  // tag-only too.
+  EXPECT_TRUE(m.migrate_to(host_node()));
+  EXPECT_TRUE(m.emulated());
+  MemBind h = MemBind::allocate(64, host_node());
+  EXPECT_TRUE(h.emulated());
 }
 
-TEST(MemBind, MigratePreservesContents) {
-  MemBind m = MemBind::allocate(2 * MemBind::page_size());
+TEST_P(MemBindLane, MigratePreservesContents) {
+  MemBind m = allocate(2 * MemBind::page_size());
   for (std::size_t i = 0; i < m.size(); ++i) {
     m.data()[i] = static_cast<std::byte>(i * 131u);
   }
-  EXPECT_TRUE(m.migrate_to(0));
-  EXPECT_EQ(m.bound_node(), 0);
+  EXPECT_TRUE(m.migrate_to(host_node()));
+  EXPECT_EQ(m.bound_node(), host_node());
+  EXPECT_EQ(m.emulated(), !MemBind::numa_syscalls_available());
   for (std::size_t i = 0; i < m.size(); ++i) {
     ASSERT_EQ(m.data()[i], static_cast<std::byte>(i * 131u)) << i;
   }
@@ -170,18 +252,47 @@ TEST(NumaBuffer, BindIsStickyAcrossResize) {
   EXPECT_TRUE(buf.emulated());
 }
 
-TEST(NumaBuffer, RebindMigratesLiveStorage) {
-  orwl::support::ScopedEnv force(orwl::topo::kMemBindEnvVar, "emulate");
+/// NumaBuffer under ORWL_MEMBIND=emulate (true) and on the host's own
+/// backend (false).
+class NumaBufferRebind : public ::testing::TestWithParam<bool> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, NumaBufferRebind, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "emulate"
+                                                         : "host");
+                         });
+
+TEST_P(NumaBufferRebind, RebindMigratesLiveStorage) {
+  const bool emulate = GetParam();
+  std::optional<orwl::support::ScopedEnv> force;
+  if (emulate) force.emplace(orwl::topo::kMemBindEnvVar, "emulate");
+  const int host = host_node();
+  const int fixture = MemBind::host_node_ids().back() + 1;
   NumaBuffer buf;
   buf.resize(8192);
-  EXPECT_TRUE(buf.bind_to(0));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf.data()[i] = static_cast<std::byte>(i * 7u);
+  }
+  const auto contents_kept = [&] {
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      if (buf.data()[i] != static_cast<std::byte>(i * 7u)) return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(buf.bind_to(host));
   EXPECT_EQ(buf.migrations(), 1u);
-  EXPECT_FALSE(buf.bind_to(0)) << "already there: no change, no migration";
+  EXPECT_TRUE(contents_kept());
+  EXPECT_EQ(buf.emulated(),
+            emulate || !MemBind::numa_syscalls_available());
+  EXPECT_EQ(buf.resident_node(), host);
+  EXPECT_FALSE(buf.bind_to(host)) << "already there: no change, no migration";
   EXPECT_EQ(buf.migrations(), 1u);
-  EXPECT_TRUE(buf.bind_to(1));
+  EXPECT_TRUE(buf.bind_to(fixture));
   EXPECT_EQ(buf.migrations(), 2u);
-  EXPECT_EQ(buf.node(), 1);
-  EXPECT_EQ(buf.resident_node(), 1);
+  EXPECT_EQ(buf.node(), fixture);
+  EXPECT_EQ(buf.resident_node(), fixture);
+  EXPECT_TRUE(buf.emulated()) << "a fixture-only node is tag-only";
+  EXPECT_TRUE(contents_kept());
 }
 
 TEST(NumaBuffer, ResetKeepsTheBinding) {
