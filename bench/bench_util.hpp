@@ -50,8 +50,8 @@ inline void annotate_arena_counters(benchmark::State& state) {
   state.counters["arena_node_misses"] = static_cast<double>(s.node_misses);
 }
 
-/// Attach accumulated parking counters (zero on the ORWL_FUTEX=0
-/// condvar path, so the JSON also records which path the run took).
+/// Attach accumulated futex parking counters (sleeps entered, wake
+/// calls issued).
 inline void annotate_parking_counters(benchmark::State& state,
                                       std::uint64_t futex_waits,
                                       std::uint64_t futex_wakes) {

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -58,10 +57,6 @@ struct ControlPlaneOptions {
   /// Events a shard may hold before post() falls back to an inline grant
   /// (back-pressure instead of unbounded queue growth); 0 = unbounded.
   std::size_t shard_capacity = 4096;
-
-  /// Futex worker parking: -1 follows ORWL_FUTEX (on by default on
-  /// Linux), 0/1 force condvar/futex.
-  int use_futex = -1;
 
   /// Arena backing shard s's event deque (and its worker's drain
   /// buffers); missing or null entries fall back to the process arena.
@@ -129,7 +124,7 @@ class ControlPlane {
     return inline_grants_.load(std::memory_order_relaxed);
   }
 
-  /// Worker futex sleeps / poster futex wakes (0 on the condvar path).
+  /// Worker futex sleeps / poster futex wakes.
   std::uint64_t futex_waits() const noexcept;
   std::uint64_t futex_wakes() const noexcept;
 
@@ -138,17 +133,16 @@ class ControlPlane {
   /// loaded shard's worker to catch up).
   std::uint64_t shard_steals() const noexcept;
 
-  bool futex_parking() const noexcept { return futex_; }
-
  private:
   /// Event deque drawing from the shard's node-bound arena.
   using EventDeque = std::deque<RequestQueue*, ArenaAllocator<RequestQueue*>>;
 
-  struct Shard {
+  /// Cache-line aligned so a shard's mutex and futex word never share a
+  /// line with a neighbouring heap object.
+  struct alignas(64) Shard {
     explicit Shard(Arena* a)
         : events(ArenaAllocator<RequestQueue*>(a)), arena(a) {}
     std::mutex mu;
-    std::condition_variable cv;             ///< ORWL_FUTEX=0 path
     std::atomic<std::uint32_t> seq{0};      ///< futex wakeup word
     EventDeque events;
     /// events.size() republished after every mutation under mu, so
@@ -170,7 +164,6 @@ class ControlPlane {
   const std::size_t num_threads_;
   const std::size_t num_shards_;
   const std::size_t shard_capacity_;
-  const bool futex_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> threads_;
   std::atomic<bool> running_{false};

@@ -1,13 +1,11 @@
-// Futex-backed parking for the grant engine and the control-plane
-// shards.
+// Futex-backed parking — the one parking protocol of the runtime: the
+// grant engine's blocked acquirers, the control-plane shard workers and
+// the steal executor's idle workers all sleep here.
 //
-// The PR-3 grant engine made the *granted* fast path lock-free, but a
-// blocked acquirer still parked on a per-slot std::mutex +
-// std::condition_variable pair, and every shard worker slept on a
-// condvar — so the contended hand-off cycle carried pthread mutex
-// traffic even though the protocol state lives entirely in one atomic
-// word. These helpers park directly on a 32-bit sequence word via
-// SYS_futex (FUTEX_*_PRIVATE) on Linux.
+// The grant engine's protocol state lives entirely in one atomic word
+// per slot, so parking needs no mutex either: these helpers park
+// directly on a 32-bit sequence word via SYS_futex (FUTEX_*_PRIVATE) on
+// Linux.
 //
 // Protocol (same for slots and shards): the waiter reads the sequence
 // word, re-checks its predicate, then futex-waits for the sequence to
@@ -16,10 +14,13 @@
 // and its futex_wait makes the wait return immediately (EAGAIN) — no
 // lost wakeup, no mutex.
 //
-// ORWL_FUTEX=1|0 (default 1 on Linux) gates the path; the condvar path
-// is retained for non-Linux hosts and as a diffable fallback. Timed
-// waits are supported (FUTEX_WAIT takes a relative timeout) so the
-// acquire-timeout guard works on both paths.
+// Timed waits are supported (FUTEX_WAIT takes a relative timeout), which
+// is what the grant engine's acquire-timeout guard rides on.
+//
+// Non-Linux hosts take the `#else` branches below: C++20 atomic
+// wait/notify for untimed waits, and a 1 ms poll for timed ones. That
+// fallback is the only non-Linux parking path and is not exercised by
+// any CI leg, so it is unverified.
 //
 // TSan note: the happens-before edges all come from the atomic
 // predicate/sequence words, which TSan models; the futex syscall only
@@ -28,8 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-
-#include "support/env.hpp"
 
 #if defined(__linux__)
 #include <climits>
@@ -45,24 +44,6 @@
 #endif
 
 namespace orwl::rt {
-
-/// ORWL_FUTEX=1|0 — park blocked acquirers and shard workers on futexes
-/// (Linux, default) instead of mutex+condvar pairs.
-inline constexpr const char* kFutexEnvVar = "ORWL_FUTEX";
-
-constexpr bool futex_supported() noexcept {
-#if defined(__linux__)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Effective gate: the env knob is read per call (ScopedEnv-testable,
-/// same idiom as membind.cpp) and forced off where SYS_futex is absent.
-inline bool futex_enabled_from_env() {
-  return futex_supported() && support::env_bool(kFutexEnvVar, true);
-}
 
 /// Block until `word != expected` is *signalled* (futex_wake after a
 /// sequence bump), a spurious return, or the timeout. `timeout_ms <= 0`
@@ -85,9 +66,8 @@ inline bool futex_wait(std::atomic<std::uint32_t>& word,
               FUTEX_WAIT_PRIVATE, expected, tsp, nullptr, 0);
   return !(rc == -1 && errno == ETIMEDOUT);
 #else
-  // Portability fallback (the gate is off here, so this only runs if a
-  // caller forces futex mode on a non-Linux host): untimed waits map to
-  // C++20 atomic waiting; timed waits poll coarsely.
+  // Portability fallback (unverified, see the header comment): untimed
+  // waits map to C++20 atomic waiting; timed waits poll at 1 ms.
   if (timeout_ms <= 0) {
     word.wait(expected, std::memory_order_acquire);
     return true;

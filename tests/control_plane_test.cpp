@@ -1,9 +1,11 @@
 // The sharded control plane: shard clamping, routing, batched draining,
-// and the inline-grant fallback that makes post() safe against stop()
-// races and shard saturation.
+// futex worker parking, and the inline-grant fallback that makes post()
+// safe against stop() races and shard saturation.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,17 @@ ControlPlaneOptions sharded(std::size_t threads, std::size_t shards) {
   o.num_threads = threads;
   o.num_shards = shards;
   return o;
+}
+
+/// Poll `pred` until it holds or `timeout` passes; true when it held.
+bool eventually(const std::function<bool()>& pred,
+                std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 // ------------------------------------------------------------ sharding ----
@@ -238,6 +251,34 @@ TEST(ControlPlaneBatching, DrainsAllEventsAndCountsBatches) {
   EXPECT_GE(cp.events_processed() + cp.inline_grants(),
             static_cast<std::uint64_t>(kQueues) * kIters);
   EXPECT_LE(cp.drain_batches(), cp.events_processed());
+}
+
+// ------------------------------------------------------- worker parking ----
+
+TEST(ControlPlaneParking, IdleWorkerParksAndPostWakesIt) {
+  ControlPlane cp(sharded(1, 1));
+  cp.start();
+  // With no events the shard worker parks on its futex word.
+  ASSERT_TRUE(eventually([&] { return cp.futex_waits() >= 1; }));
+  RequestQueue q;
+  q.set_control_plane(&cp);
+  q.set_acquire_timeout(10000);  // a lost wakeup fails in 10 s, not 120
+  const Ticket w1 = q.enqueue(AccessMode::Write);
+  const Ticket w2 = q.enqueue(AccessMode::Write);
+  // Any park counted from here on follows this post's drain.
+  const std::uint64_t waits = cp.futex_waits();
+  q.release(w1);  // post(): push the event and wake the parked worker
+  EXPECT_GE(cp.futex_wakes(), 1u);
+  q.acquire(w2);  // granted by the woken control thread
+  EXPECT_TRUE(eventually([&] { return cp.events_processed() >= 1; }));
+  EXPECT_EQ(cp.inline_grants(), 0u);
+  // Back to idle: the worker parks again once the event is drained, and
+  // stop() must wake and join it while it sleeps.
+  ASSERT_TRUE(eventually([&] { return cp.futex_waits() > waits; }));
+  cp.stop();
+  EXPECT_FALSE(cp.running());
+  q.release(w2);  // the plane is stopped: inline grant, nothing stranded
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(ControlPlaneShards, StressManyQueuesAcrossShards) {

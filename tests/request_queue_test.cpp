@@ -503,30 +503,14 @@ TEST(RequestQueue, StressMixedModesFifoGroupsAndGrantCount) {
   }
 }
 
-// ------------------------------------------- futex vs condvar parking ----
+// ------------------------------------------------------ futex parking ----
 
-// Every blocking behavior must be identical under both parking paths;
-// ORWL_FUTEX only changes *how* a parked thread sleeps, never *when* it
-// wakes. The fixture forces the path explicitly so the suite covers both
-// regardless of the environment's default.
-class RequestQueueParking : public ::testing::TestWithParam<bool> {
- protected:
-  bool want_futex() const { return GetParam(); }
-  void configure(RequestQueue& q) const {
-    q.set_futex(want_futex());
-    if (want_futex()) {
-      // On hosts without futex support set_futex downgrades; skip the
-      // futex leg there rather than re-testing the condvar path twice.
-      if (!q.futex_parking()) GTEST_SKIP() << "no futex on this host";
-    } else {
-      ASSERT_FALSE(q.futex_parking());
-    }
-  }
-};
+// Blocked acquirers park on their slot's futex word; these cases pin
+// *when* a parked thread wakes: on its grant, on the deadlock guard, and
+// never two writers at once.
 
-TEST_P(RequestQueueParking, AcquireBlocksUntilGrant) {
+TEST(RequestQueueParking, AcquireBlocksUntilGrant) {
   RequestQueue q;
-  configure(q);
   const Ticket w1 = q.enqueue(AccessMode::Write);
   const Ticket w2 = q.enqueue(AccessMode::Write);
   std::atomic<bool> got{false};
@@ -539,17 +523,11 @@ TEST_P(RequestQueueParking, AcquireBlocksUntilGrant) {
   q.release(w1);
   waiter.join();
   EXPECT_TRUE(got.load());
-  if (want_futex()) {
-    EXPECT_GE(q.futex_wakes(), 1u);
-  } else {
-    EXPECT_EQ(q.futex_waits(), 0u);
-    EXPECT_EQ(q.futex_wakes(), 0u);
-  }
+  EXPECT_GE(q.futex_wakes(), 1u);
 }
 
-TEST_P(RequestQueueParking, AcquireTimesOutOnDeadlock) {
+TEST(RequestQueueParking, AcquireTimesOutOnDeadlock) {
   RequestQueue q;
-  configure(q);
   q.set_acquire_timeout(50);
   q.enqueue(AccessMode::Write);  // never released
   const Ticket w2 = q.enqueue(AccessMode::Write);
@@ -559,9 +537,8 @@ TEST_P(RequestQueueParking, AcquireTimesOutOnDeadlock) {
   EXPECT_GE(elapsed, std::chrono::milliseconds(45));
 }
 
-TEST_P(RequestQueueParking, TimedOutTicketStillGrantableLater) {
+TEST(RequestQueueParking, TimedOutTicketStillGrantableLater) {
   RequestQueue q;
-  configure(q);
   q.set_acquire_timeout(30);
   const Ticket w1 = q.enqueue(AccessMode::Write);
   const Ticket w2 = q.enqueue(AccessMode::Write);
@@ -571,9 +548,8 @@ TEST_P(RequestQueueParking, TimedOutTicketStillGrantableLater) {
   q.release(w2);
 }
 
-TEST_P(RequestQueueParking, ManyThreadsMutualExclusion) {
+TEST(RequestQueueParking, ManyThreadsMutualExclusion) {
   RequestQueue q;
-  configure(q);
   constexpr int kThreads = 8;
   constexpr int kIters = 200;
   std::vector<Ticket> tickets(kThreads);
@@ -600,12 +576,6 @@ TEST_P(RequestQueueParking, ManyThreadsMutualExclusion) {
   EXPECT_FALSE(overlap.load());
   EXPECT_EQ(counter, kThreads * kIters);
 }
-
-INSTANTIATE_TEST_SUITE_P(FutexAndCondvar, RequestQueueParking,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "futex" : "condvar";
-                         });
 
 // ------------------------------------------------------ control plane ----
 
